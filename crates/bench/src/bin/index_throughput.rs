@@ -33,6 +33,9 @@ const CORPUS_SYMS: usize = 1 << 22;
 const BATCH: usize = 8192;
 const AC_CHUNK: usize = 64 << 10;
 
+/// One timed leg: name, sequential figure, `(width, figure)` per pool width.
+type Leg<'a> = (&'a str, f64, Vec<(usize, f64)>);
+
 fn smoke() -> bool {
     std::env::var_os("PDM_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
 }
@@ -118,7 +121,7 @@ fn main() {
 
     // -- query ------------------------------------------------------------
     let idx = CorpusIndex::build(&Ctx::par(), text.clone());
-    let mut query_legs: Vec<(&str, f64, Vec<(usize, f64)>)> = Vec::new();
+    let mut query_legs: Vec<Leg> = Vec::new();
     for merge in [true, false] {
         let opts = BatchOptions {
             merge,

@@ -24,6 +24,9 @@ const TEXT_SYMS: usize = 1 << 20;
 const CHUNK: usize = 64 << 10;
 const RUNS: usize = 5;
 
+/// A named workload timed at every pool width.
+type Workload<'a> = (&'a str, Box<dyn Fn(&Ctx) + 'a>);
+
 fn widths() -> Vec<usize> {
     let max = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut v = vec![1, 2];
@@ -86,7 +89,7 @@ fn main() {
         out
     };
 
-    let workloads: Vec<(&str, Box<dyn Fn(&Ctx)>)> = vec![
+    let workloads: Vec<Workload> = vec![
         (
             "static1d",
             Box::new(|ctx: &Ctx| {

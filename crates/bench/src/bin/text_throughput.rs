@@ -53,6 +53,9 @@ use std::sync::Arc;
 const RUNS_FULL: usize = 3;
 const CHUNK: usize = 64 << 10;
 
+/// One timed leg: name, sequential MB/s, `(width, MB/s)` per pool width.
+type LegResult = (String, f64, Vec<(usize, f64)>);
+
 fn smoke() -> bool {
     std::env::var_os("PDM_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
 }
@@ -323,7 +326,7 @@ fn main() {
     ];
 
     // name -> (leg -> (seq, par)) preserving declaration order.
-    let mut results: Vec<(String, Vec<(String, f64, Vec<(usize, f64)>)>)> = Vec::new();
+    let mut results: Vec<(String, Vec<LegResult>)> = Vec::new();
     for (name, leg, bytes, work) in legs.iter_mut() {
         if smoke() && *leg == "before" {
             continue;

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Path {
     nodes: Vec<u32>,
     /// Positions (indices into `nodes`) that are marked.
@@ -28,7 +28,7 @@ struct Path {
 
 /// Growing rooted tree with dynamic marks and nearest-marked-ancestor
 /// queries (ancestor-or-self).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MarkedAncestorTree {
     parent: Vec<u32>,
     depth: Vec<u32>,

@@ -14,6 +14,10 @@
 //!   `O(n log m)` work) running against the current tables through the
 //!   [`MatchTables`] trait, plus trie marked-ancestor lookups for the
 //!   longest-pattern layer.
+//! * **freeze**: [`DynamicMatcher::freeze`] copies the live dictionary into
+//!   a read-only [`StaticMatcher`] — frozen name tables, the Theorem 2
+//!   attribution maps from one pass over the trie — so a published epoch
+//!   matches at static speed while this matcher keeps taking updates.
 //!
 //! ```
 //! use pdm_core::dynamic::DynamicMatcher;
@@ -35,9 +39,12 @@ pub mod ancestor;
 pub mod trie;
 
 use crate::dict::{PatId, Sym};
-use crate::static1d::{self, MatchOutput, MatchTables, PrefixMatch};
+use crate::prefilter::Prefilter;
+use crate::static1d::namemap::{pack2, NameMap};
+use crate::static1d::tables::ReadTables;
+use crate::static1d::{self, MatchOutput, MatchTables, PrefixMatch, StaticMatcher, StaticTables};
 use pdm_naming::dynamic::{DynTable, StampList};
-use pdm_naming::{NamePool, IDENTITY};
+use pdm_naming::{FrozenNameTable, NamePool, IDENTITY};
 use pdm_pram::{ceil_log2, Ctx};
 use pdm_primitives::FxHashMap;
 use std::sync::Arc;
@@ -67,12 +74,7 @@ impl std::error::Error for DynError {}
 
 /// Fully dynamic dictionary matcher (insert + delete + match). Using only
 /// `insert`/`match_text` gives the partly dynamic variant of §6.1.
-///
-/// Cloning copies every table but shares the name pool (an atomic
-/// allocator), so a clone may be frozen as an immutable snapshot while the
-/// original keeps taking updates — names allocated after the clone never
-/// collide with names visible in the copy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DynamicMatcher {
     pool: Arc<NamePool>,
     /// `K`: tables exist for levels `1..=levels` (grows with insertions).
@@ -89,6 +91,9 @@ pub struct DynamicMatcher {
     owners: StampList,
     /// Slot per assigned id; `None` = deleted.
     patterns: Vec<Option<Vec<Sym>>>,
+    /// Prefix names per slot (`prefs[p][ℓ-1]` names `P_p[0..ℓ]`), empty
+    /// for deleted slots — kept for [`Self::freeze`].
+    prefs: Vec<Vec<u32>>,
     /// full-prefix name → live pattern.
     name_to_pat: FxHashMap<u32, PatId>,
     live_syms: usize,
@@ -117,6 +122,7 @@ impl DynamicMatcher {
             pref_node: FxHashMap::default(),
             owners: StampList::new(),
             patterns: Vec::new(),
+            prefs: Vec::new(),
             name_to_pat: FxHashMap::default(),
             live_syms: 0,
             total_syms: 0,
@@ -180,6 +186,7 @@ impl DynamicMatcher {
         }
         let pid = self.patterns.len() as PatId;
         self.patterns.push(Some(pattern.to_vec()));
+        self.prefs.push(Vec::new());
         self.insert_into_tables(ctx, pid);
         Ok(pid)
     }
@@ -242,6 +249,90 @@ impl DynamicMatcher {
     /// position.
     pub fn prefix_match(&self, ctx: &Ctx, text: &[Sym]) -> PrefixMatch {
         static1d::prefix_match(ctx, self, text)
+    }
+
+    /// Freeze the live dictionary into a read-only [`StaticMatcher`] whose
+    /// pattern `i` is this matcher's pattern `order[i]`; `patterns[i]` is
+    /// its text (for the prefilter). `order` must list every live pattern
+    /// exactly once. The result matches exactly like a full
+    /// [`StaticMatcher::build`] of `patterns` and, like a cold-loaded
+    /// matcher, carries no build-side tables:
+    ///
+    /// * the name tables are frozen from the live entries (names carry
+    ///   over, so no naming round runs);
+    /// * the Theorem 2 maps come from one forward pass over the trie
+    ///   (nearest marked ancestor-or-self; a parent's id is below its
+    ///   children's) and one backward pass (smallest pattern id below a
+    ///   node, the static build's owner rule).
+    pub fn freeze(&self, order: &[PatId], patterns: &[Vec<Sym>]) -> StaticMatcher {
+        debug_assert_eq!(order.len(), patterns.len());
+        debug_assert_eq!(order.len(), self.pattern_count());
+        const NONE: u32 = u32::MAX;
+        let mut canon = vec![NONE; self.patterns.len()];
+        for (i, &p) in order.iter().enumerate() {
+            canon[p as usize] = i as u32;
+        }
+        let nodes = self.trie.nodes();
+        let mut mark = vec![NONE; nodes];
+        for (node, pid) in self.trie.marks() {
+            mark[node as usize] = canon[pid as usize];
+        }
+        // longest[v]: packed (depth, id) of the nearest marked node at or
+        // above v. own[v]: smallest id marked in v's subtree.
+        let mut longest = vec![u64::MAX; nodes];
+        for v in 1..nodes {
+            longest[v] = match mark[v] {
+                NONE => longest[self.trie.parent(v as u32).expect("non-root") as usize],
+                c => pack2(self.trie.depth(v as u32), c),
+            };
+        }
+        let mut own = mark;
+        for v in (1..nodes).rev() {
+            let p = self.trie.parent(v as u32).expect("non-root") as usize;
+            own[p] = own[p].min(own[v]);
+        }
+        let n_names = self.pool.allocated() as usize + 1;
+        let mut longest_by_name = vec![u64::MAX; n_names];
+        let mut owner_by_name = vec![u64::MAX; n_names];
+        for (&name, &node) in &self.pref_node {
+            longest_by_name[name as usize] = longest[node as usize];
+            owner_by_name[name as usize] = pack2(0, own[node as usize]);
+        }
+
+        let pattern_prefs: Vec<Vec<u32>> = order
+            .iter()
+            .map(|&p| self.prefs[p as usize].clone())
+            .collect();
+        let max_len = pattern_prefs.iter().map(Vec::len).max().unwrap_or(0);
+        // Levels above ⌈log₂ m⌉ of the live set hold no entries (deletes
+        // released them), so the frozen shape is the static build's.
+        let levels = ceil_log2(max_len.max(1)) as usize;
+        debug_assert!(self.pair.iter().skip(levels).all(DynTable::is_empty));
+        debug_assert!(self.ext.iter().skip(levels + 1).all(DynTable::is_empty));
+        let frozen = |t: Option<&DynTable>| {
+            FrozenNameTable::from_entries(&t.map_or_else(Vec::new, DynTable::entries))
+        };
+        let tables = StaticTables {
+            levels,
+            max_len,
+            total_len: self.live_syms,
+            n_patterns: order.len(),
+            write: None,
+            fold_len: self.fold.len(),
+            longest: NameMap::from_slots(longest_by_name),
+            owner: NameMap::from_slots(owner_by_name),
+            pattern_names: pattern_prefs.iter().map(|p| p[p.len() - 1]).collect(),
+            pattern_prefs,
+            pool: NamePool::dictionary_resumed(self.pool.allocated()),
+            read: ReadTables::from_frozen(
+                frozen(Some(&self.sym)),
+                (0..levels).map(|k| frozen(self.pair.get(k))).collect(),
+                (0..=levels).map(|k| frozen(self.ext.get(k))).collect(),
+            ),
+        };
+        let mut m = StaticMatcher::from_tables(tables);
+        m.set_prefilter(Some(Prefilter::analyze(patterns)));
+        m
     }
 
     // ---- internals ---------------------------------------------------------
@@ -333,6 +424,7 @@ impl DynamicMatcher {
         }
         self.trie.mark(path[lam - 1], pid);
         self.name_to_pat.insert(prefs[lam - 1], pid);
+        self.prefs[pid as usize] = prefs;
         self.live_syms += lam;
         self.total_syms += lam;
         // PRAM schedule of the insert (Theorem 7): O(log λ) rounds, O(λ) ops.
@@ -380,6 +472,7 @@ impl DynamicMatcher {
         }
         self.trie.unmark(node);
         self.name_to_pat.remove(&prefs[lam - 1]);
+        self.prefs[pid as usize] = Vec::new();
         self.live_syms -= lam;
         ctx.cost.rounds(ceil_log2(lam) as u64 + 2, 4 * lam as u64);
     }
@@ -589,6 +682,59 @@ mod tests {
         // One rebuild at batch end, not one per threshold crossing.
         assert_eq!(d.rebuilds(), 1);
         assert_eq!(d.pattern_count(), 5);
+    }
+
+    #[test]
+    fn freeze_matches_a_static_build_of_the_live_set() {
+        // A squeeze-out rebuild, then more churn that leaves unmarked trie
+        // nodes behind: a removed prefix under a live extension ("ab"
+        // under "abcd") and a removed long leaf, whose levels stay in the
+        // dynamic tables. The canonical order is not insertion order.
+        let ctx = Ctx::seq();
+        let mut d = DynamicMatcher::new();
+        let gone = ["zzzzzzzzz", "yyyyyyyyyyyy"];
+        for p in ["abcd", "abce", "bca", "ca"].iter().chain(&gone) {
+            d.insert(&ctx, &to_symbols(p)).unwrap();
+        }
+        for p in gone {
+            d.delete(&ctx, &to_symbols(p)).unwrap();
+        }
+        for p in ["b", "ab", "caxxxxxxx"] {
+            d.insert(&ctx, &to_symbols(p)).unwrap();
+        }
+        for p in ["ab", "caxxxxxxx"] {
+            d.delete(&ctx, &to_symbols(p)).unwrap();
+        }
+        assert_eq!(d.rebuilds(), 1);
+        let keep = ["ca", "bca", "abce", "abcd", "b"];
+        let pats: Vec<Vec<Sym>> = keep.iter().map(|p| to_symbols(p)).collect();
+        let order: Vec<PatId> = pats
+            .iter()
+            .map(|p| d.trie.pattern_at(d.trie.find(p).unwrap()).unwrap())
+            .collect();
+        let frozen = d.freeze(&order, &pats);
+        let fresh = StaticMatcher::build(&ctx, &pats).unwrap();
+        assert!(!frozen.cold_loaded());
+        assert_eq!(frozen.max_pattern_len(), 4);
+        assert_eq!(frozen.tables().levels, fresh.tables().levels);
+        for text in ["abcdabcabcebcazz", "bbbcacaxxxxxxxab", "", "zzzzzzzzzz"] {
+            let t = to_symbols(text);
+            let (a, b) = (frozen.match_text(&ctx, &t), fresh.match_text(&ctx, &t));
+            assert_eq!(a.prefix_len, b.prefix_len, "{text:?}");
+            assert_eq!(a.longest_pattern, b.longest_pattern, "{text:?}");
+            assert_eq!(a.longest_pattern_len, b.longest_pattern_len, "{text:?}");
+            assert_eq!(a.prefix_owner, b.prefix_owner, "{text:?}");
+            assert_eq!(frozen.find_all(&ctx, &t), fresh.find_all(&ctx, &t));
+        }
+    }
+
+    #[test]
+    fn freeze_of_an_empty_dictionary_matches_nothing() {
+        let ctx = Ctx::seq();
+        let m = DynamicMatcher::new().freeze(&[], &[]);
+        assert_eq!(m.pattern_count(), 0);
+        let out = m.match_text(&ctx, &to_symbols("abc"));
+        assert!(out.longest_pattern.iter().all(Option::is_none));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::dynamic::ancestor::MarkedAncestorTree;
 use pdm_primitives::FxHashMap;
 
 /// Pattern trie with dynamic marks.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct PatternTrie {
     tree: MarkedAncestorTree,
     /// `(node, symbol) → child`.
@@ -90,6 +90,17 @@ impl PatternTrie {
 
     pub fn depth(&self, node: u32) -> u32 {
         self.tree.depth(node)
+    }
+
+    /// Parent of `node` (`None` for the root). Nodes are numbered in
+    /// creation order, so a parent's id is always below its children's.
+    pub fn parent(&self, node: u32) -> Option<u32> {
+        self.tree.parent(node)
+    }
+
+    /// Every marked node with its pattern, unordered.
+    pub fn marks(&self) -> impl Iterator<Item = (u32, PatId)> + '_ {
+        self.pattern_at.iter().map(|(&node, &pid)| (node, pid))
     }
 }
 

@@ -110,7 +110,7 @@ impl StaticMatcher {
         Ok(m)
     }
 
-    fn from_tables(tables: StaticTables) -> Self {
+    pub(crate) fn from_tables(tables: StaticTables) -> Self {
         Self {
             tables,
             chains: OnceLock::new(),

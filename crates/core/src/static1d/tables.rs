@@ -48,28 +48,18 @@ impl ReadTables {
 
     /// Freeze the text-side tables of a finished build.
     pub fn build(sym: &NameTable, pair: &[NameTable], ext: &[NameTable]) -> Self {
-        let entries = sym.entries();
-        let sym_dense = entries.iter().map(|e| e.0).max().and_then(|max_c| {
-            (max_c < Self::DENSE_SYM_LIMIT).then(|| {
-                let mut d = vec![IDENTITY; max_c as usize + 1].into_boxed_slice();
-                for &(c, _, name) in &entries {
-                    d[c as usize] = name;
-                }
-                d
-            })
-        });
-        ReadTables {
-            sym: FrozenNameTable::from_entries(&entries),
-            pair: pair.iter().map(NameTable::freeze).collect(),
-            ext: ext.iter().map(NameTable::freeze).collect(),
-            sym_dense,
-        }
+        Self::from_frozen(
+            FrozenNameTable::from_entries(&sym.entries()),
+            pair.iter().map(NameTable::freeze).collect(),
+            ext.iter().map(NameTable::freeze).collect(),
+        )
     }
 
     /// Assemble from already-frozen tables (the cold-load path: the frozen
-    /// slot arrays come straight off disk). Only the dense level-0 map is
-    /// derived — an `O(|Σ|)` scan of the symbol table's entries, no
-    /// rehashing of anything.
+    /// slot arrays come straight off disk; the incremental-snapshot path:
+    /// tables frozen from the dynamic matcher's entries). Only the dense
+    /// level-0 map is derived — an `O(|Σ|)` scan of the symbol table's
+    /// entries, no rehashing of anything.
     pub fn from_frozen(
         sym: FrozenNameTable,
         pair: Vec<FrozenNameTable>,

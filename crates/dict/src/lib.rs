@@ -15,8 +15,9 @@
 //!   observes the published one.
 //!
 //! The rebuild policy lives in [`DictStore::commit`]: small batches go
-//! through the core `DynamicMatcher` (the §6 incremental path), large
-//! batches trigger a full parallel `StaticMatcher` rebuild on the pool.
+//! through the core `DynamicMatcher` (the §6 incremental path), which is
+//! then frozen into the epoch's read-only `StaticMatcher`; large batches
+//! trigger a full parallel `StaticMatcher` rebuild on the pool.
 //!
 //! ```
 //! use pdm_dict::{DictStore, EpochHandle};

@@ -30,10 +30,9 @@
 use pdm_core::allmatches::{pattern_chains, PatternChains};
 use pdm_core::dynamic::DynamicMatcher;
 use pdm_core::static1d::serial::LoadError;
-use pdm_core::{BuildError, Matcher, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
+use pdm_core::{BuildError, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
 use pdm_pram::Ctx;
 use pdm_primitives::codec::{self, CodecError, SectionReader, SectionWriter};
-use pdm_primitives::FxHashMap;
 use std::sync::Arc;
 
 /// File magic for serialized snapshots.
@@ -105,7 +104,8 @@ fn corrupt(why: impl Into<String>) -> SnapError {
 /// identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotPath {
-    /// Batch applied through the §6 `DynamicMatcher` (Theorems 7–10).
+    /// Batch applied through the §6 `DynamicMatcher` (Theorems 7–10),
+    /// which is then frozen into the epoch's read-only matcher.
     Incremental,
     /// Full parallel `StaticMatcher` rebuild on the pool (Theorem 3).
     FullRebuild,
@@ -113,60 +113,26 @@ pub enum SnapshotPath {
     ColdLoaded,
 }
 
-enum SnapInner {
-    /// Canonical ids equal the build-order ids of the static matcher.
-    Static(Arc<StaticMatcher>),
-    /// A frozen clone of the store's dynamic matcher; `remap` translates
-    /// its native slot ids into canonical ids.
-    Dynamic {
-        m: Box<DynamicMatcher>,
-        remap: FxHashMap<PatId, u32>,
-    },
-}
-
-impl std::fmt::Debug for SnapInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapInner::Static(_) => write!(f, "Static"),
-            SnapInner::Dynamic { .. } => write!(f, "Dynamic"),
-        }
-    }
-}
-
 /// One immutable epoch of the dictionary.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
-    /// Canonical id → pattern length.
-    lens: Vec<u32>,
     /// Canonical pattern list; `None` when wrapped around a bare index
     /// (pattern texts unknown — the snapshot still matches, but cannot be
     /// re-serialized).
     patterns: Option<Vec<Vec<Sym>>>,
-    /// Canonical id → longest pattern that is a proper prefix of it.
-    chains: Vec<Option<u32>>,
-    max_len: usize,
-    inner: SnapInner,
+    /// The epoch's read-only matcher. Its pattern ids are the canonical
+    /// ids whichever path built it: a full rebuild and a cold load take
+    /// the canonical list as build order, and the incremental path freezes
+    /// the dynamic matcher with the canonical order
+    /// ([`DynamicMatcher::freeze`]).
+    matcher: Arc<StaticMatcher>,
     path: SnapshotPath,
-}
-
-/// Longest-proper-prefix chains over a canonical pattern list, computed
-/// from the texts (matcher-agnostic, unlike `pdm_core::allmatches` which
-/// reads the static tables).
-fn chains_of(patterns: &[Vec<Sym>]) -> Vec<Option<u32>> {
-    let mut idx: FxHashMap<&[Sym], u32> = FxHashMap::default();
-    for (i, p) in patterns.iter().enumerate() {
-        idx.insert(p.as_slice(), i as u32);
-    }
-    patterns
-        .iter()
-        .map(|p| (1..p.len()).rev().find_map(|l| idx.get(&p[..l]).copied()))
-        .collect()
 }
 
 impl Snapshot {
     /// Build the static-path snapshot (full parallel rebuild). Empty
-    /// dictionaries fall back to an empty dynamic matcher — the §4 build
+    /// dictionaries fall back to [`Self::build_empty`] — the §4 build
     /// rejects zero patterns, an empty epoch is still a valid epoch.
     pub fn build_static(
         ctx: &Ctx,
@@ -181,58 +147,33 @@ impl Snapshot {
         let m = StaticMatcher::build(ctx, &patterns)?;
         Ok(Snapshot {
             epoch,
-            lens: patterns.iter().map(|p| p.len() as u32).collect(),
-            chains: chains_of(&patterns),
-            max_len: patterns.iter().map(Vec::len).max().unwrap_or(0),
             patterns: Some(patterns),
-            inner: SnapInner::Static(Arc::new(m)),
+            matcher: Arc::new(m),
             path: SnapshotPath::FullRebuild,
         })
     }
 
-    /// Freeze a clone of the store's dynamic matcher as the incremental-path
-    /// snapshot. `native` gives the dynamic matcher's slot id for each
+    /// The incremental-path snapshot: freeze the store's dynamic matcher
+    /// into a read-only matcher (no naming rounds, no copy of the dynamic
+    /// state). `native` gives the dynamic matcher's slot id for each
     /// canonical position.
     pub fn from_dynamic(
         epoch: u64,
-        m: DynamicMatcher,
+        m: &DynamicMatcher,
         patterns: Vec<Vec<Sym>>,
         native: &[PatId],
     ) -> Self {
-        debug_assert_eq!(patterns.len(), native.len());
-        let remap: FxHashMap<PatId, u32> = native
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
         Snapshot {
             epoch,
-            lens: patterns.iter().map(|p| p.len() as u32).collect(),
-            chains: chains_of(&patterns),
-            max_len: patterns.iter().map(Vec::len).max().unwrap_or(0),
+            matcher: Arc::new(m.freeze(native, &patterns)),
             patterns: Some(patterns),
-            inner: SnapInner::Dynamic {
-                m: Box::new(m),
-                remap,
-            },
             path: SnapshotPath::Incremental,
         }
     }
 
     /// An empty epoch (no patterns; matches nothing).
     pub fn build_empty(epoch: u64) -> Self {
-        Snapshot {
-            epoch,
-            lens: Vec::new(),
-            patterns: Some(Vec::new()),
-            chains: Vec::new(),
-            max_len: 0,
-            inner: SnapInner::Dynamic {
-                m: Box::new(DynamicMatcher::new()),
-                remap: FxHashMap::default(),
-            },
-            path: SnapshotPath::Incremental,
-        }
+        Self::from_dynamic(epoch, &DynamicMatcher::new(), Vec::new(), &[])
     }
 
     /// Wrap a prebuilt static matcher (e.g. a loaded `PDM1` index) as
@@ -240,15 +181,10 @@ impl Snapshot {
     /// identity bytes, but matching and all-matches expansion work — the
     /// chains come from the static tables.
     pub fn from_static(epoch: u64, m: Arc<StaticMatcher>) -> Self {
-        let chains = pattern_chains(&m).chain;
-        let k = m.pattern_count();
         Snapshot {
             epoch,
-            lens: (0..k as PatId).map(|p| m.pattern_len(p)).collect(),
             patterns: None,
-            chains,
-            max_len: m.max_pattern_len(),
-            inner: SnapInner::Static(m),
+            matcher: m,
             path: SnapshotPath::FullRebuild,
         }
     }
@@ -263,16 +199,16 @@ impl Snapshot {
     }
 
     pub fn pattern_count(&self) -> usize {
-        self.lens.len()
+        self.matcher.pattern_count()
     }
 
     pub fn max_pattern_len(&self) -> usize {
-        self.max_len
+        self.matcher.max_pattern_len()
     }
 
     /// Length of canonical pattern `p`.
     pub fn pattern_len(&self, p: PatId) -> u32 {
-        self.lens[p as usize]
+        self.matcher.pattern_len(p)
     }
 
     /// Canonical pattern list, if known.
@@ -281,19 +217,8 @@ impl Snapshot {
     }
 
     /// The matcher backing this epoch.
-    pub fn matcher(&self) -> &dyn Matcher {
-        match &self.inner {
-            SnapInner::Static(m) => m.as_ref(),
-            SnapInner::Dynamic { m, .. } => m.as_ref(),
-        }
-    }
-
-    #[inline]
-    fn to_canon(&self, native: PatId) -> PatId {
-        match &self.inner {
-            SnapInner::Static(_) => native,
-            SnapInner::Dynamic { remap, .. } => remap[&native],
-        }
+    pub fn matcher(&self) -> &StaticMatcher {
+        &self.matcher
     }
 
     /// Every `(position, canonical pattern)` occurrence in `text`, sorted
@@ -307,10 +232,11 @@ impl Snapshot {
         v
     }
 
-    /// [`Self::find_all`] into caller-owned buffers. On the static path the
-    /// whole match reuses `scratch` (zero steady-state allocation per
-    /// chunk); the dynamic path matches through its concurrent tables as
-    /// before (its dictionary mutates, so its tables cannot be frozen).
+    /// [`Self::find_all`] into caller-owned buffers. Every epoch is backed
+    /// by a read-only [`StaticMatcher`] in canonical ids, so this delegates
+    /// to it: the SWAR candidate prefilter (DESIGN.md §16), scratch reuse
+    /// (zero steady-state allocation per chunk) and the pool's chunk-grained
+    /// dispatch apply whichever path built the epoch.
     pub fn find_all_into(
         &self,
         ctx: &Ctx,
@@ -319,35 +245,10 @@ impl Snapshot {
         out: &mut Vec<(usize, PatId)>,
     ) {
         out.clear();
-        if self.lens.is_empty() {
+        if self.pattern_count() == 0 {
             return;
         }
-        let mut mo = scratch.take_match_out();
-        match &self.inner {
-            SnapInner::Static(m) => {
-                // Canonical ids equal native ids and the canonical chains
-                // equal the matcher's own, so the static path delegates —
-                // which routes serving through the SWAR candidate
-                // prefilter when one is attached (DESIGN.md §16).
-                scratch.put_match_out(mo);
-                m.find_all_into(ctx, text, scratch, out);
-                return;
-            }
-            SnapInner::Dynamic { m, .. } => mo = m.match_text(ctx, text),
-        }
-        for (i, hit) in mo.longest_pattern.iter().enumerate() {
-            let Some(native) = *hit else { continue };
-            let here = scratch.pats_here_mut();
-            here.clear();
-            let mut cur = Some(self.to_canon(native));
-            while let Some(p) = cur {
-                here.push(p);
-                cur = self.chains[p as usize];
-            }
-            here.sort_unstable();
-            out.extend(here.iter().map(|&p| (i, p)));
-        }
-        scratch.put_match_out(mo);
+        self.matcher.find_all_into(ctx, text, scratch, out);
     }
 
     /// Canonical **identity** bytes: `(epoch, patterns in canonical order)`
@@ -361,15 +262,13 @@ impl Snapshot {
 
     /// Serialize the **built** matcher into the v2 sidecar layout:
     /// sectioned, CRC-trailed, loadable in O(file size) with zero naming
-    /// rounds. `None` when this snapshot has no frozen form — pattern
-    /// texts unknown, or the epoch is backed by the dynamic matcher (its
-    /// tables mutate and cannot be frozen); callers fall back to
+    /// rounds. Every rebuild path has this form. `None` when pattern texts
+    /// are unknown, or for an empty epoch (the loader rejects tables
+    /// without patterns); callers fall back to
     /// [`Snapshot::identity_bytes`].
     pub fn to_sidecar_bytes(&self) -> Option<Vec<u8>> {
-        let patterns = self.patterns.as_ref()?;
-        let SnapInner::Static(m) = &self.inner else {
-            return None;
-        };
+        let patterns = self.patterns.as_ref().filter(|p| !p.is_empty())?;
+        let m = &self.matcher;
         let chains = pattern_chains(m);
         let mut w = SectionWriter::new();
         w.section(SEC_META, self.epoch.to_le_bytes().to_vec());
@@ -446,7 +345,6 @@ impl Snapshot {
                 .ok_or_else(|| corrupt("missing CHAINS"))?,
             patterns.len(),
         )?;
-        let chain = chains.chain.clone();
         m.prime_chains(chains);
         // Attach the stored prefilter tables; sidecars written before the
         // section existed re-analyze from the pattern texts (same result,
@@ -459,11 +357,8 @@ impl Snapshot {
         m.set_prefilter(Some(pf));
         Ok(Snapshot {
             epoch,
-            lens: patterns.iter().map(|p| p.len() as u32).collect(),
-            max_len: patterns.iter().map(Vec::len).max().unwrap_or(0),
             patterns: Some(patterns),
-            chains: chain,
-            inner: SnapInner::Static(Arc::new(m)),
+            matcher: Arc::new(m),
             path: SnapshotPath::ColdLoaded,
         })
     }
@@ -674,10 +569,13 @@ mod tests {
             .iter()
             .map(|p| d.insert(&ctx, p).unwrap())
             .collect();
-        let dsnap = Snapshot::from_dynamic(1, d, patterns, &native);
+        let dsnap = Snapshot::from_dynamic(1, &d, patterns, &native);
         let text = to_symbols("ushershishe");
         assert_eq!(s.find_all(&ctx, &text), dsnap.find_all(&ctx, &text));
         assert_eq!(s.identity_bytes().unwrap(), dsnap.identity_bytes().unwrap());
+        // The frozen incremental epoch has a sidecar form too.
+        let back = Snapshot::from_bytes(&ctx, &dsnap.to_sidecar_bytes().unwrap()).unwrap();
+        assert_eq!(back.find_all(&ctx, &text), s.find_all(&ctx, &text));
     }
 
     #[test]
@@ -725,7 +623,7 @@ mod tests {
         let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();
         assert_eq!(back.epoch(), 7);
         assert_eq!(back.path(), SnapshotPath::ColdLoaded);
-        assert!(back.matcher().stats().cold_loaded, "no naming rounds ran");
+        assert!(back.matcher().cold_loaded(), "no naming rounds ran");
         assert_eq!(back.patterns(), snap.patterns());
         // Same identity: the cold-loaded snapshot serializes identically.
         assert_eq!(back.identity_bytes(), snap.identity_bytes());
@@ -767,7 +665,7 @@ mod tests {
         assert_eq!(snap.max_pattern_len(), 0);
         assert!(
             snap.to_sidecar_bytes().is_none(),
-            "dynamic inner has no frozen form"
+            "the v2 loader rejects empty tables"
         );
         let bytes = snap.identity_bytes().unwrap();
         let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();

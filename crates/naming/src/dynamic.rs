@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 /// Growable pair→name table with reference counts, for the dynamic
 /// dictionary. Single-writer (the dictionary owner); matching only reads.
-/// Cloning copies the map but shares the pool, so a clone can keep
-/// allocating names without colliding with the original.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DynTable {
     map: PairMap,
     pool: Arc<NamePool>,
@@ -78,13 +76,25 @@ impl DynTable {
     pub fn refs(&self, a: u32, b: u32) -> u32 {
         self.map.refs(a, b)
     }
+
+    /// Every live `(a, b, name)` entry, unordered — the input for freezing
+    /// this table into a read-only [`crate::FrozenNameTable`].
+    pub fn entries(&self) -> Vec<(u32, u32, u32)> {
+        self.map
+            .iter_entries()
+            .map(|(k, v)| {
+                let (a, b) = pdm_primitives::table::unpack(k);
+                (a, b, v)
+            })
+            .collect()
+    }
 }
 
 /// Dynamic stamp-listing: element name → multiset of stamps.
 ///
 /// `any` returns an arbitrary live stamp (the arbitrary-CRCW answer);
 /// `remove` deletes one occurrence of a specific stamp.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct StampList {
     map: FxHashMap<u32, Vec<u32>>,
 }
@@ -267,6 +277,18 @@ mod tests {
         assert!(t.release(1, 2));
         assert_eq!(t.lookup(1, 2), None);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn dyn_table_entries_list_live_keys() {
+        let mut t = DynTable::new(NamePool::dictionary());
+        let x = t.name_ref(1, 2);
+        let y = t.name_ref(3, 4);
+        t.name_ref(5, 6);
+        t.release(5, 6);
+        let mut e = t.entries();
+        e.sort_unstable();
+        assert_eq!(e, vec![(1, 2, x), (3, 4, y)]);
     }
 
     #[test]

@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct CostModel {
     rounds: AtomicU64,
     work: AtomicU64,
+    /// Per-name totals in first-occurrence order, merged as each phase is
+    /// recorded, so a long-lived context stores one record per name.
     phases: Mutex<Vec<PhaseStats>>,
 }
 
@@ -93,28 +95,25 @@ impl CostModel {
         let before = self.snapshot();
         let r = f();
         let delta = self.snapshot().since(before);
-        self.phases.lock().push(PhaseStats {
-            name,
-            rounds: delta.rounds,
-            work: delta.work,
-        });
+        let mut phases = self.phases.lock();
+        match phases.iter_mut().find(|p| p.name == name) {
+            Some(p) => {
+                p.rounds += delta.rounds;
+                p.work += delta.work;
+            }
+            None => phases.push(PhaseStats {
+                name,
+                rounds: delta.rounds,
+                work: delta.work,
+            }),
+        }
         r
     }
 
     /// All recorded phases, in execution order. Repeated phase names are
     /// merged (summed), preserving first-occurrence order.
     pub fn phases(&self) -> Vec<PhaseStats> {
-        let raw = self.phases.lock();
-        let mut merged: Vec<PhaseStats> = Vec::new();
-        for p in raw.iter() {
-            if let Some(m) = merged.iter_mut().find(|m| m.name == p.name) {
-                m.rounds += p.rounds;
-                m.work += p.work;
-            } else {
-                merged.push(p.clone());
-            }
-        }
-        merged
+        self.phases.lock().clone()
     }
 
     /// Reset all counters and phases.
@@ -166,6 +165,19 @@ mod tests {
         assert_eq!(ps[0].work, 10);
         assert_eq!(ps[1].name, "extend");
         assert_eq!(ps[1].work, 2);
+    }
+
+    #[test]
+    fn phase_log_is_bounded_by_distinct_names() {
+        let c = CostModel::new();
+        for i in 0..100_000u64 {
+            let name = if i % 2 == 0 { "scan" } else { "verify" };
+            c.phase(name, || c.round(1));
+        }
+        assert_eq!(c.phases.lock().len(), 2, "one stored record per name");
+        let ps = c.phases();
+        assert_eq!((ps[0].name, ps[0].rounds), ("scan", 50_000));
+        assert_eq!((ps[1].name, ps[1].work), ("verify", 50_000));
     }
 
     #[test]

@@ -132,12 +132,10 @@ fn reactor_metrics_and_stats_frame() {
     let mut w = sock.try_clone().unwrap();
     write_frame(&mut w, TAG_STATS, b"").unwrap();
     let mut r = BufReader::new(sock);
-    let wire = loop {
-        match read_frame(&mut r).unwrap() {
-            Some((TAG_STATS_RESP, p)) => break decode_stats(&p).expect("decodable stats"),
-            Some((tag, _)) => panic!("unexpected frame {tag:#x}"),
-            None => panic!("closed before stats reply"),
-        }
+    let wire = match read_frame(&mut r).unwrap() {
+        Some((TAG_STATS_RESP, p)) => decode_stats(&p).expect("decodable stats"),
+        Some((tag, _)) => panic!("unexpected frame {tag:#x}"),
+        None => panic!("closed before stats reply"),
     };
     assert_eq!(wire.sessions_closed, 1, "{wire:?}");
     assert!(wire.frames_decoded >= 2, "{wire:?}");
