@@ -5,8 +5,8 @@
 //! are built for):
 //!
 //! * **build** — suffix-array + LCP construction MB/s, sequential and at
-//!   pool widths 1 / 2 / max (the prefix-doubling schedule of
-//!   `pdm_index::sa` over the radix/scan substrate);
+//!   pool widths 1 / 2 / max (SA-IS in `pdm_index::sa` is sequential; the
+//!   width reaches the blocked-parallel LCP);
 //! * **query** — batch throughput in kilo-patterns/s for a prefix-sharing
 //!   batch, with interval merging on and off, same widths;
 //! * **crossover** — against the streaming baseline (`pdm_baselines`
@@ -95,6 +95,8 @@ fn main() {
     }
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map_or_else(|_| "unknown".to_string(), |s| s.trim().to_string());
     let runs = if smoke() { 1 } else { RUNS_FULL };
 
     let mut r = strings::rng(42);
@@ -195,7 +197,8 @@ fn main() {
         "null".into()
     };
     let json = format!(
-        "{{\n  \"meta\": {{\"host_cpus\": {host_cpus}, \"corpus_syms\": {CORPUS_SYMS}, \
+        "{{\n  \"meta\": {{\"host_cpus\": {host_cpus}, \"host_kernel\": \"{host_kernel}\", \
+         \"corpus_syms\": {CORPUS_SYMS}, \
          \"batch_patterns\": {BATCH}, \"pattern_bytes\": {pattern_bytes}, \"runs\": {runs}, \
          \"smoke\": {}, \"note\": \"genome corpus; crossover = batches of {BATCH} \
          prefix-sharing patterns until index build beats per-batch AC rescans\"}},\n  \

@@ -11,7 +11,6 @@
 //! block; with blocks of `n / p` positions that is `O(n + p · maxlcp)` —
 //! indistinguishable from `O(n)` at realistic widths.
 
-use crate::sa::SendPtr;
 use pdm_pram::Ctx;
 use rayon::prelude::*;
 
@@ -72,6 +71,14 @@ pub fn build_lcp(ctx: &Ctx, text: &[u32], sa: &[u32]) -> Vec<u32> {
     }
     lcp
 }
+
+/// A `u32` output slot base shared by the pool tasks of [`build_lcp`].
+#[derive(Clone, Copy)]
+struct SendPtr(*mut u32);
+// SAFETY: the pointer is only written through, at slots that each write
+// site proves disjoint across tasks, while the owning `Vec` outlives them.
+unsafe impl Send for SendPtr {}
+unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

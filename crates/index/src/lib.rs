@@ -8,14 +8,12 @@
 //! array (+ LCP), then answer each batch with binary searches — no rebuild
 //! per batch, `O(|p| log n)` per pattern instead of `O(corpus)` per batch.
 //!
-//! The construction is deliberately a thin layer over the repo's existing
-//! substrate: the prefix-doubling recurrence *is* the KMR naming recurrence
-//! from `pdm-naming` with an order-preserving codomain
-//! ([`sa`] module docs), sorted with `pdm-primitives::radix` and re-ranked
-//! with `pdm-primitives::scan`, all on the same vendored-rayon pool and
-//! [`Ctx`] cost model as every matcher.
+//! The suffix array is built by sequential SA-IS — induced sorting, `O(n)`
+//! work whatever the repeat structure of the corpus ([`sa`] module docs)
+//! — and the LCP array by blocked-parallel Kasai on the same
+//! vendored-rayon pool and [`Ctx`] cost model as every matcher.
 //!
-//! * [`sa`] — parallel suffix-array construction (Manber–Myers doubling);
+//! * [`sa`] — linear-time suffix-array construction (SA-IS);
 //! * [`lcp`] — blocked-parallel Kasai LCP;
 //! * [`query`] — batch execution with interval merging for prefix-sharing
 //!   batches, `count` and `locate` modes;

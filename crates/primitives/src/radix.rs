@@ -15,33 +15,15 @@ const BUCKETS: usize = 1 << RADIX_BITS;
 
 /// Sort records by `key` ascending; stable. Returns the sorted records.
 pub fn radix_sort_by_key(ctx: &Ctx, records: &[(u64, u32)]) -> Vec<(u64, u32)> {
-    let mut recs = records.to_vec();
-    let mut scratch = Vec::new();
-    radix_sort_by_key_in_place(ctx, &mut recs, &mut scratch);
-    recs
-}
-
-/// In-place variant of [`radix_sort_by_key`] for hot loops that sort every
-/// iteration (suffix-array doubling): `records` is sorted in place and
-/// `scratch` is (re)used as the ping-pong buffer, so steady-state sorting
-/// allocates nothing once both vectors have grown to size.
-pub fn radix_sort_by_key_in_place(
-    ctx: &Ctx,
-    records: &mut Vec<(u64, u32)>,
-    scratch: &mut Vec<(u64, u32)>,
-) {
     let n = records.len();
+    let mut cur = records.to_vec();
     if n <= 1 {
-        return;
+        return cur;
     }
     let max_key = records.iter().map(|r| r.0).max().unwrap_or(0);
     let key_bits = 64 - max_key.leading_zeros();
     let passes = key_bits.div_ceil(RADIX_BITS).max(1);
-
-    scratch.clear();
-    scratch.resize(n, (0u64, 0u32));
-    let cur = records;
-    let next = scratch;
+    let mut next = vec![(0u64, 0u32); n];
 
     let threads = if ctx.is_parallel() {
         ctx.exec.threads().max(1)
@@ -105,12 +87,10 @@ pub fn radix_sort_by_key_in_place(
                     });
             });
         }
-        // Swap the vectors themselves (ptr/len/cap), so after every pass the
-        // caller's `records` holds the latest sorted data and `scratch` the
-        // ping-pong buffer — regardless of pass parity.
-        std::mem::swap(cur, next);
+        std::mem::swap(&mut cur, &mut next);
     }
     debug_assert!(cur.windows(2).all(|w| w[0].0 <= w[1].0));
+    cur
 }
 
 /// Sort plain `u64` keys ascending.

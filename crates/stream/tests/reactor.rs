@@ -8,7 +8,7 @@
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pdm_core::dict::symbolize;
@@ -36,6 +36,27 @@ fn reactor_cfg() -> ServerConfig {
         reactors: 2,
         ..Default::default()
     }
+}
+
+/// Fault plans (`--features fault-injection`) are process-global, so every
+/// test that starts a server holds this lock: no server runs under a plan
+/// that another test installed. The plan is cleared on entry and exit.
+static SERVER_LOCK: Mutex<()> = Mutex::new(());
+
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        #[cfg(feature = "fault-injection")]
+        pdm_stream::faults::clear();
+    }
+}
+
+fn serial() -> Serial {
+    let g = SERVER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    #[cfg(feature = "fault-injection")]
+    pdm_stream::faults::clear();
+    Serial(g)
 }
 
 fn start(cfg: ServerConfig) -> Server {
@@ -95,6 +116,7 @@ fn run_session(sock: TcpStream) -> Result<u64, String> {
 /// the listener sees one burst; every connection must still be served.
 #[test]
 fn burst_accept_drains_simultaneous_connections() {
+    let _g = serial();
     const N: usize = 40;
     let server = start(reactor_cfg());
     let socks: Vec<TcpStream> = (0..N).map(|_| connect(&server)).collect();
@@ -117,6 +139,7 @@ fn burst_accept_drains_simultaneous_connections() {
 /// `TAG_STATS` frame returns the same snapshot over the wire.
 #[test]
 fn reactor_metrics_and_stats_frame() {
+    let _g = serial();
     let server = start(reactor_cfg());
     run_session(connect(&server)).expect("session");
     wait_for(&server, "session closed", |m| m.sessions_closed == 1);
@@ -147,6 +170,7 @@ fn reactor_metrics_and_stats_frame() {
 /// reactor counters untouched.
 #[test]
 fn threaded_mode_explicitly_selectable() {
+    let _g = serial();
     let cfg = ServerConfig {
         serve_mode: ServeMode::Threaded,
         ..reactor_cfg()
@@ -178,6 +202,7 @@ fn threaded_mode_explicitly_selectable() {
 /// expiration counter ticks.
 #[test]
 fn idle_timeout_fires_through_timer_wheel() {
+    let _g = serial();
     let cfg = ServerConfig {
         read_timeout: Some(Duration::from_millis(80)),
         ..reactor_cfg()
@@ -212,30 +237,12 @@ fn idle_timeout_fires_through_timer_wheel() {
 mod chaos {
     use super::*;
     use pdm_stream::faults::{self, FaultConfig};
-    use std::sync::{Mutex, PoisonError};
-
-    /// The fault plan is process-global: serialize and clear.
-    static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-    struct ChaosGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-    impl Drop for ChaosGuard<'_> {
-        fn drop(&mut self) {
-            faults::clear();
-        }
-    }
-
-    fn chaos() -> ChaosGuard<'static> {
-        let g = CHAOS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        faults::clear();
-        ChaosGuard(g)
-    }
 
     /// Spurious wakeups and EINTR'd waits must be invisible: sessions
     /// complete exactly, and the injected faults demonstrably fired.
     #[test]
     fn survives_spurious_wakeups_and_eintr() {
-        let _g = chaos();
+        let _g = serial();
         faults::install(FaultConfig {
             spurious_wake_every: 2,
             spurious_wake_max: 10_000,
@@ -259,7 +266,7 @@ mod chaos {
     /// listener: later connections are served normally.
     #[test]
     fn accept_overflow_drops_conn_and_keeps_accepting() {
-        let _g = chaos();
+        let _g = serial();
         faults::install(FaultConfig {
             accept_overflow_every: 3,
             accept_overflow_max: 2,
