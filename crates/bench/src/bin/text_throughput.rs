@@ -5,7 +5,7 @@
 //!
 //! * `static1d`   — §4 mixed-length matching. *after* = sentinel naming +
 //!   frozen tables + session scratch; *before* = the retained text-local
-//!   reference descent over the concurrent tables (`ConcView`).
+//!   reference descent (`match_text_ref`) over the same frozen tables.
 //! * `equal_len`  — Theorem 11. *after* = per-level frozen probes;
 //!   *before* = the live concurrent-table path (`match_texts_ref`).
 //! * `smallalpha` — §5 small-σ matching. *after* = frozen block-tuple
@@ -13,7 +13,7 @@
 //!   probe (`match_text_ref`), which allocates per call.
 //! * `streaming`  — chunked cursor. *after* = session scratch via
 //!   `find_all_into`; *before* = per-chunk window matching through the
-//!   concurrent reference path (the pre-overhaul per-chunk cost).
+//!   text-local reference path (the pre-overhaul per-chunk cost).
 //! * `sparse_prefilter` — `find_all` over random bytes where the dictionary
 //!   occurs only where planted. *after* = the SWAR candidate prefilter
 //!   (DESIGN.md §16) screening windows for KMR verification; *before* =
@@ -24,6 +24,11 @@
 //!   wasted scan at a fraction of the verification work.
 //!
 //! Each leg reports sequential MB/s plus pool MB/s at widths 1 / 2 / max.
+//!
+//! The `static1d` and `streaming` *before* rows in the committed
+//! `BENCH_text.json` predate the removal of the concurrent build tables
+//! from built matchers: they were measured probing those tables, not the
+//! frozen ones these legs now probe.
 //!
 //! Usage: `text_throughput [out.json] [--check baseline.json]`
 //!
@@ -42,7 +47,7 @@ use pdm_bench::timing::time_median;
 use pdm_core::dict::Sym;
 use pdm_core::equal_len::EqualLenMatcher;
 use pdm_core::smallalpha::{SmallAlphaMatcher, SmallAlphaOutput, SmallAlphaScratch};
-use pdm_core::static1d::{match_text_ref, ConcView, MatchOutput, StaticMatcher};
+use pdm_core::static1d::{match_text_ref, MatchOutput, StaticMatcher};
 use pdm_core::TextScratch;
 use pdm_pram::Ctx;
 use pdm_stream::StreamMatcher;
@@ -220,7 +225,7 @@ fn main() {
             "before",
             text_syms,
             Box::new(|ctx: &Ctx| {
-                std::hint::black_box(match_text_ref(ctx, &ConcView(dict.tables()), &text));
+                std::hint::black_box(match_text_ref(ctx, dict.tables(), &text));
             }),
         ),
         (
@@ -311,13 +316,13 @@ fn main() {
             text_syms,
             Box::new(move |ctx: &Ctx| {
                 // Pre-overhaul per-chunk cost: fresh window copy + the
-                // text-local reference match over the concurrent tables.
+                // text-local reference match.
                 let overlap = d4.max_pattern_len().saturating_sub(1);
                 let mut carry: Vec<Sym> = Vec::new();
                 for chunk in t4.chunks(CHUNK) {
                     let mut window = carry.clone();
                     window.extend_from_slice(chunk);
-                    std::hint::black_box(match_text_ref(ctx, &ConcView(d4.tables()), &window));
+                    std::hint::black_box(match_text_ref(ctx, d4.tables(), &window));
                     let keep = overlap.min(window.len());
                     carry = window[window.len() - keep..].to_vec();
                 }
@@ -365,8 +370,7 @@ fn main() {
     let json = format!(
         "{{\n  \"meta\": {{\"host_cpus\": {host_cpus}, \"text_bytes\": {text_syms}, \
          \"runs\": {runs}, \"smoke\": {}, \"note\": \"after = sentinel naming + frozen \
-         tables + session scratch; before = text-local naming over concurrent \
-         tables\"}},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
+         tables + session scratch; before = text-local reference naming\"}},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
         smoke(),
         sections.join(",\n"),
     );

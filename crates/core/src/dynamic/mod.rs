@@ -317,7 +317,6 @@ impl DynamicMatcher {
             max_len,
             total_len: self.live_syms,
             n_patterns: order.len(),
-            write: None,
             fold_len: self.fold.len(),
             longest: NameMap::from_slots(longest_by_name),
             owner: NameMap::from_slots(owner_by_name),

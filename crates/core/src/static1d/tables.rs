@@ -24,11 +24,11 @@ use pdm_pram::{ceil_log2, Ctx};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Read-optimized snapshots of the text-side tables, built once after
-/// preprocessing: atomics-free open-addressing copies of `sym`/`pair`/`ext`
-/// plus a dense level-0 symbol map for small alphabets. All text-side
-/// lookups go through these; the concurrent originals remain the write side
-/// (builds, serialization, the §6 dynamic path).
+/// The text-side tables, frozen once preprocessing finishes:
+/// atomics-free open-addressing tables for `sym`/`pair`/`ext` plus a dense
+/// level-0 symbol map for small alphabets. They are the only form a built
+/// matcher keeps — every text-side lookup and the `PDMT` serialization go
+/// through them; the concurrent tables the build wrote are dropped.
 #[derive(Debug)]
 pub struct ReadTables {
     pub sym: FrozenNameTable,
@@ -83,22 +83,6 @@ impl ReadTables {
     }
 }
 
-/// The live (concurrent, write-capable) build-side tables. Text matching
-/// never touches these — every text-side lookup goes through
-/// [`ReadTables`] — so a matcher cold-loaded from a serialized snapshot
-/// carries none (see [`StaticTables::write`]).
-#[derive(Debug)]
-pub struct WriteTables {
-    /// Level-0 naming of symbols.
-    pub sym: NameTable,
-    /// `pair[k-1]` produces level-`k` block names from level-`k−1` names.
-    pub pair: Vec<NameTable>,
-    /// Prefix-name fold table (shared across levels; see `pdm-naming`).
-    pub fold: NameTable,
-    /// `ext[k]`: `(prefix-name, level-k block name) → longer prefix-name`.
-    pub ext: Vec<NameTable>,
-}
-
 /// Frozen dictionary tables: everything text processing needs.
 #[derive(Debug)]
 pub struct StaticTables {
@@ -107,15 +91,9 @@ pub struct StaticTables {
     pub max_len: usize,
     pub total_len: usize,
     pub n_patterns: usize,
-    /// Build-side live tables. `Some` for tables produced by
-    /// [`Self::build`] or the `PDM1` entry-list loader; `None` for tables
-    /// cold-loaded from the frozen-snapshot form, which ship only the read
-    /// path. Only `PDM1` serialization and the pre-freeze
-    /// [`ConcView`](crate::static1d::ConcView) bench path need them.
-    pub write: Option<WriteTables>,
     /// Entry count of the fold table at freeze time (the fold itself is
-    /// build-only state and is not part of the frozen form; the count keeps
-    /// size diagnostics meaningful on cold-loaded tables).
+    /// build-only state, dropped with the other concurrent tables; the
+    /// count keeps size diagnostics meaningful).
     pub fold_len: usize,
     /// prefix-name → packed `(len, pat)` of the longest pattern that is a
     /// prefix of it (Theorem 2's output).
@@ -214,6 +192,10 @@ impl StaticTables {
                 .map(|v| v.into_iter().map(|a| a.into_inner()).collect())
                 .collect()
         });
+        // The fold table is build-only state: nothing after prefix naming
+        // reads it, so only its size outlives this point.
+        let fold_len = fold.len();
+        drop(fold);
 
         // 3. Extension tables: one entry per aligned block per level.
         let ext: Vec<NameTable> = (0..=k_levels)
@@ -271,6 +253,8 @@ impl StaticTables {
             (longest.freeze(), owner.freeze())
         });
 
+        // Freeze the text-side tables; the concurrent originals are dropped
+        // here, so a built matcher holds one copy of them.
         let read = ctx.cost.phase("dict/freeze-read-path", || {
             ReadTables::build(&sym, &pair, &ext)
         });
@@ -280,13 +264,7 @@ impl StaticTables {
             max_len,
             total_len: total,
             n_patterns: npat,
-            fold_len: fold.len(),
-            write: Some(WriteTables {
-                sym,
-                pair,
-                fold,
-                ext,
-            }),
+            fold_len,
             longest,
             owner,
             pattern_names,
@@ -294,16 +272,6 @@ impl StaticTables {
             pool,
             read,
         })
-    }
-
-    /// Build-side tables, which exist unless this value was cold-loaded
-    /// from the frozen-snapshot form. Callers that genuinely need the live
-    /// tables (`PDM1` serialization, the pre-freeze bench view) should go
-    /// through here so the panic message names the contract.
-    pub fn write_tables(&self) -> &WriteTables {
-        self.write
-            .as_ref()
-            .expect("build-side tables absent: this matcher was cold-loaded from a frozen snapshot")
     }
 }
 

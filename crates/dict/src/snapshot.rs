@@ -29,7 +29,7 @@
 
 use pdm_core::allmatches::{pattern_chains, PatternChains};
 use pdm_core::dynamic::DynamicMatcher;
-use pdm_core::static1d::serial::LoadError;
+use pdm_core::static1d::LoadError;
 use pdm_core::{BuildError, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
 use pdm_pram::Ctx;
 use pdm_primitives::codec::{self, CodecError, SectionReader, SectionWriter};
@@ -176,10 +176,10 @@ impl Snapshot {
         Self::from_dynamic(epoch, &DynamicMatcher::new(), Vec::new(), &[])
     }
 
-    /// Wrap a prebuilt static matcher (e.g. a loaded `PDM1` index) as
-    /// epoch `epoch`. Pattern texts are unknown, so the snapshot has no
-    /// identity bytes, but matching and all-matches expansion work — the
-    /// chains come from the static tables.
+    /// Wrap a prebuilt static matcher whose pattern texts are unknown as
+    /// epoch `epoch`. The snapshot has no identity bytes and no sidecar
+    /// form, but matching and all-matches expansion work — the chains come
+    /// from the static tables.
     pub fn from_static(epoch: u64, m: Arc<StaticMatcher>) -> Self {
         Snapshot {
             epoch,
@@ -219,6 +219,12 @@ impl Snapshot {
     /// The matcher backing this epoch.
     pub fn matcher(&self) -> &StaticMatcher {
         &self.matcher
+    }
+
+    /// The shared matcher and the canonical pattern list (if known), for
+    /// callers that serve a loaded snapshot without its epoch metadata.
+    pub fn into_parts(self) -> (Arc<StaticMatcher>, Option<Vec<Vec<Sym>>>) {
+        (self.matcher, self.patterns)
     }
 
     /// Every `(position, canonical pattern)` occurrence in `text`, sorted

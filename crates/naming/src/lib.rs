@@ -15,14 +15,12 @@
 //!
 //! * [`arena`] — name pools (dictionary-side and text-local name spaces) and
 //!   [`arena::NameTable`], the namestamping table (a thin policy layer over
-//!   `pdm_primitives::ConcPairTable`); [`arena::Overlay`] gives text
-//!   processing a read-through view of the dictionary tables with a local
-//!   layer for substrings the dictionary never saw (the paper's "special
-//!   symbols distinct from the set used to name the substrings in `V`");
+//!   `pdm_primitives::ConcPairTable`), and [`arena::FrozenNameTable`], its
+//!   read-only frozen form;
 //! * [`kmr`] — names of power-of-two blocks, by doubling:
-//!   `name_k(i) = δ(name_{k−1}(i), name_{k−1}(i+2^{k−1}))`. Block-aligned
-//!   positions only for dictionary strings (that *is* the shrink of
-//!   shrink-and-spawn), every position for texts (that *is* the spawn);
+//!   `name_k(i) = δ(name_{k−1}(i), name_{k−1}(i+2^{k−1}))`, at block-aligned
+//!   positions of dictionary strings (that *is* the shrink of
+//!   shrink-and-spawn);
 //! * [`prefix`] — prefix-naming with a **fixed dyadic left-fold shape** per
 //!   length, so equal prefixes of different patterns receive equal names
 //!   even though the naming operator is not associative;
@@ -41,6 +39,4 @@ pub mod dynamic;
 pub mod kmr;
 pub mod prefix;
 
-pub use arena::{
-    FrozenNameTable, NamePool, NameTable, Overlay, IDENTITY, TEXT_MISS, TEXT_NAME_BASE,
-};
+pub use arena::{FrozenNameTable, NamePool, NameTable, IDENTITY, TEXT_MISS, TEXT_NAME_BASE};

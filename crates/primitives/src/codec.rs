@@ -26,10 +26,10 @@ use crate::crc::{crc32, Crc32};
 /// The one way any sidecar reaches disk: durable atomic replacement via
 /// the [`crate::vfs`] plane (temp file → fsync → rename → fsync parent
 /// dir). Re-exported here because "how a format is framed" and "how its
-/// bytes become durable" are the same contract — every `PDM1`, `PDMS`,
-/// `PDMX` and rewritten `PDML` write goes through this helper, so a
-/// crash at any instant leaves the previous file intact or the new file
-/// complete, never a torn mixture.
+/// bytes become durable" are the same contract — every `PDMS`, `PDMX`
+/// and rewritten `PDML` write goes through this helper, so a crash at any
+/// instant leaves the previous file intact or the new file complete,
+/// never a torn mixture.
 pub use crate::vfs::atomic_write;
 
 /// Header size shared by all formats: 4-byte magic + `u32` version.

@@ -8,7 +8,10 @@
 # "cold-loaded" and still find every occurrence. `pdm snap inspect`
 # validates both sidecar and log framing, and a corrupted sidecar must
 # fail inspection while `pdm match` falls back to a rebuild with
-# identical output.
+# identical output. A second leg does the same for `pdm build`: its
+# output is a PDMS v2 snapshot that `match --index` loads with the same
+# output as `match --dict`, and a flipped byte fails both inspection and
+# `match --index`.
 #
 # Usage: scripts/snap_smoke.sh
 set -euo pipefail
@@ -63,5 +66,34 @@ fi
 "$bin" match --dict-log "$log" --text "$tmp/text.bin" >"$tmp/corrupt.out"
 grep -q "rebuilt (" "$tmp/corrupt.out"
 diff <(grep -v '^#' "$tmp/cold.out") <(grep -v '^#' "$tmp/corrupt.out")
+
+# `pdm build` writes the same PDMS v2 snapshot; `match --index` loads it.
+printf 'he\nshe\nhers\n' >"$tmp/dict.txt"
+index="$tmp/index.snap"
+"$bin" build --dict "$tmp/dict.txt" --out "$index" >/dev/null
+"$bin" snap inspect --file "$index" | tee "$tmp/index_inspect.out"
+grep -q "PDMS v2" "$tmp/index_inspect.out"
+grep -q "crc: OK" "$tmp/index_inspect.out"
+"$bin" match --dict "$tmp/dict.txt" --text "$tmp/text.bin" --all >"$tmp/by_dict.out"
+"$bin" match --index "$index" --text "$tmp/text.bin" --all >"$tmp/by_index.out"
+grep -q "# 3 occurrences" "$tmp/by_index.out"
+diff <(grep -v '^#' "$tmp/by_dict.out") <(grep -v '^#' "$tmp/by_index.out")
+
+python3 - "$index" <<'EOF'
+import sys
+p = sys.argv[1]
+b = bytearray(open(p, 'rb').read())
+b[len(b) // 2] ^= 0x10
+open(p, 'wb').write(b)
+EOF
+if "$bin" snap inspect --file "$index" >/dev/null 2>&1; then
+    echo "corrupt index passed inspection" >&2
+    exit 1
+fi
+if "$bin" match --index "$index" --text "$tmp/text.bin" >"$tmp/bad_index.out" 2>&1; then
+    echo "corrupt index loaded" >&2
+    exit 1
+fi
+grep -q "checksum mismatch" "$tmp/bad_index.out"
 
 echo "snap smoke: OK"

@@ -1,9 +1,9 @@
 //! Command-line interface logic (the `pdm` binary is a thin wrapper).
 //!
 //! ```text
-//! pdm build  --dict words.txt --out index.pdm
+//! pdm build  --dict words.txt --out words.snap
 //! pdm match  --dict words.txt --text corpus.bin [--threads N] [--all]
-//! pdm match  --index index.pdm --text corpus.bin
+//! pdm match  --index words.snap --text corpus.bin
 //! pdm prefix --dict words.txt --text corpus.bin
 //! pdm stats  --dict words.txt
 //! pdm gen    --out corpus.bin --bytes 1048576 [--seed 7] [--markov]
@@ -19,6 +19,7 @@
 
 use crate::prelude::*;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Where the dictionary comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,7 +173,7 @@ pub const USAGE: &str = "\
 pdm — parallel dictionary matching (Muthukrishnan & Palem, SPAA'93)
 
 USAGE:
-  pdm build  --dict <file> --out <index>
+  pdm build  --dict <file> --out <file.snap>
   pdm match  --dict <file> --text <file> [--threads N] [--all]
   pdm match  --index <file> --text <file> [--threads N] [--all]
   pdm match  --dict <file> --text <file> --stream [--chunk-bytes K]
@@ -203,7 +204,9 @@ Dictionary files: one pattern per line. Texts are matched byte-wise.
 `--stream` feeds the text chunk-at-a-time through the streaming matcher
 (implies `--all`; default chunk 65536 bytes), matching what `serve` does
 per connection.
-`build` serializes the preprocessed index for repeated `match --index` runs.
+`build` writes the preprocessed dictionary as a `.snap` v2 snapshot
+(CRC-checked, pattern texts included) that `match`, `stats` and `serve`
+load with `--index` in O(file size), with no rebuild.
 `serve` answers the length-prefixed TCP protocol in pdm_stream::proto;
 one connection = one stream session over a shared dictionary.
 `--read-timeout-ms` closes idle connections (0 = never, the default);
@@ -617,8 +620,13 @@ pub enum CliError {
     NoPatterns(String),
     /// Matcher construction failed.
     Build(BuildError),
-    /// A serialized `PDM1`/`PDMT` matcher index failed to load.
-    MatcherLoad(pdm_core::static1d::serial::LoadError),
+    /// A `--index` file written in the retired `PDM1` format.
+    LegacyIndex(String),
+    /// A `--index` snapshot failed to load or validate.
+    IndexLoad {
+        path: String,
+        source: pdm_dict::SnapError,
+    },
     /// Dictionary log/store failure.
     Store {
         path: String,
@@ -636,7 +644,12 @@ impl std::fmt::Display for CliError {
             Self::Io { path, source } => write!(f, "{path}: {source}"),
             Self::NoPatterns(path) => write!(f, "{path}: no patterns"),
             Self::Build(e) => write!(f, "{e}"),
-            Self::MatcherLoad(e) => write!(f, "{e}"),
+            Self::LegacyIndex(path) => write!(
+                f,
+                "{path}: PDM1 index format is no longer supported; \
+                 re-run `pdm build` to write a PDMS v2 snapshot"
+            ),
+            Self::IndexLoad { path, source } => write!(f, "{path}: {source}"),
             Self::Store { path, source } => write!(f, "{path}: {source}"),
             Self::Snap(e) => write!(f, "{e}"),
             Self::Corrupt(e) => write!(f, "{e}"),
@@ -650,7 +663,8 @@ impl std::error::Error for CliError {
             Self::Io { source, .. } => Some(source),
             Self::NoPatterns(_) => None,
             Self::Build(e) => Some(e),
-            Self::MatcherLoad(e) => Some(e),
+            Self::LegacyIndex(_) => None,
+            Self::IndexLoad { source, .. } => Some(source),
             Self::Store { source, .. } => Some(source),
             Self::Snap(e) => Some(e),
             Self::Corrupt(e) => Some(e),
@@ -710,20 +724,31 @@ pub fn load_text(path: &str) -> Result<Vec<Sym>, CliError> {
     Ok(data.into_iter().map(Sym::from).collect())
 }
 
-/// A matcher plus, when built from `--dict`, the pattern texts for display.
-type ResolvedMatcher = (StaticMatcher, Option<Vec<Vec<Sym>>>);
+/// A matcher plus, when known, the pattern texts for display.
+type ResolvedMatcher = (Arc<StaticMatcher>, Option<Vec<Vec<Sym>>>);
 
 fn resolve_matcher(dict: &DictSource, ctx: &Ctx) -> Result<ResolvedMatcher, CliError> {
     match dict {
         DictSource::Patterns(path) => {
             let pats = load_dictionary(path)?;
             let m = StaticMatcher::build(ctx, &pats)?;
-            Ok((m, Some(pats)))
+            Ok((Arc::new(m), Some(pats)))
         }
         DictSource::Index(path) => {
             let data = std::fs::read(path).map_err(io_err(path))?;
-            let m = StaticMatcher::from_bytes(&data).map_err(CliError::MatcherLoad)?;
-            Ok((m, None))
+            if data.starts_with(b"PDM1") {
+                return Err(CliError::LegacyIndex(path.clone()));
+            }
+            let snap = pdm_dict::Snapshot::from_bytes(ctx, &data).map_err(|source| {
+                CliError::IndexLoad {
+                    path: path.clone(),
+                    source,
+                }
+            })?;
+            if snap.pattern_count() == 0 {
+                return Err(CliError::NoPatterns(path.clone()));
+            }
+            Ok(snap.into_parts())
         }
         DictSource::Log(path) => Err(CliError::Store {
             path: path.clone(),
@@ -806,14 +831,16 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                 }
             };
             let ctx = Ctx::par();
-            let m = match StaticMatcher::build(&ctx, &pats) {
-                Ok(m) => m,
+            let snap = match pdm_dict::Snapshot::build_static(&ctx, 0, pats) {
+                Ok(s) => s,
                 Err(e) => {
                     writeln!(w, "error: {e}")?;
                     return Ok(2);
                 }
             };
-            let bytes = m.to_bytes();
+            let bytes = snap
+                .to_sidecar_bytes()
+                .expect("a built dictionary has patterns");
             // Atomic + durable: a crash mid-write must not tear a
             // previously good index at the same path.
             match pdm_primitives::vfs::atomic_write(std::path::Path::new(&out), &bytes) {
@@ -821,8 +848,8 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                     writeln!(
                         w,
                         "indexed {} patterns ({} symbols) into {out}: {} bytes",
-                        m.pattern_count(),
-                        m.symbol_count(),
+                        snap.pattern_count(),
+                        snap.matcher().symbol_count(),
                         bytes.len()
                     )?;
                     Ok(0)
@@ -859,34 +886,15 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                     return Ok(2);
                 }
             };
-            let show = |w: &mut dyn Write, i: usize, p: PatId| -> std::io::Result<()> {
-                match &pats {
-                    Some(pats) => {
-                        let pat = &pats[p as usize];
-                        let txt: String = pat
-                            .iter()
-                            .map(|&c| char::from(c as u8))
-                            .map(|c| {
-                                if c.is_ascii_graphic() || c == ' ' {
-                                    c
-                                } else {
-                                    '.'
-                                }
-                            })
-                            .collect();
-                        writeln!(w, "{i}\t{p}\t{txt}")
-                    }
-                    None => writeln!(w, "{i}\t{p}"),
-                }
-            };
+            let pats = pats.as_deref();
             let mut count = 0usize;
             if stream {
                 // Same chunk-at-a-time path a `serve` session runs;
                 // reports all occurrences with absolute offsets.
-                let mut sm = pdm_stream::StreamMatcher::new(std::sync::Arc::new(m));
+                let mut sm = pdm_stream::StreamMatcher::new(m);
                 for c in txt.chunks(chunk_bytes) {
                     for occ in sm.push(&ctx, c) {
-                        show(w, occ.start as usize, occ.pat)?;
+                        write_occurrence(w, occ.start as usize, occ.pat, pats)?;
                         count += 1;
                     }
                 }
@@ -901,13 +909,13 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
             }
             if all {
                 for (i, p) in m.find_all(&ctx, &txt) {
-                    show(w, i, p)?;
+                    write_occurrence(w, i, p, pats)?;
                     count += 1;
                 }
             } else {
                 let out = m.match_text(&ctx, &txt);
                 for (i, p) in out.occurrences() {
-                    show(w, i, p)?;
+                    write_occurrence(w, i, p, pats)?;
                     count += 1;
                 }
             }
@@ -1224,7 +1232,7 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                     }
                 };
                 let banner = format!("serving {} patterns on", m.pattern_count());
-                match pdm_stream::Server::bind(("0.0.0.0", port), std::sync::Arc::new(m), cfg) {
+                match pdm_stream::Server::bind(("0.0.0.0", port), m, cfg) {
                     Ok(s) => (s, banner),
                     Err(e) => {
                         writeln!(w, "error: bind port {port}: {e}")?;
@@ -1380,30 +1388,39 @@ fn run_match_log(log: &str, txt: &[Sym], ctx: &Ctx, w: &mut impl Write) -> std::
             boot.snapshot.epoch()
         )?,
     }
-    let pats = boot.snapshot.patterns().map(<[Vec<Sym>]>::to_vec);
     let mut count = 0usize;
     for (i, p) in boot.snapshot.find_all(ctx, txt) {
-        match &pats {
-            Some(pats) => {
-                let shown: String = pats[p as usize]
-                    .iter()
-                    .map(|&c| char::from(c as u8))
-                    .map(|c| {
-                        if c.is_ascii_graphic() || c == ' ' {
-                            c
-                        } else {
-                            '.'
-                        }
-                    })
-                    .collect();
-                writeln!(w, "{i}\t{p}\t{shown}")?;
-            }
-            None => writeln!(w, "{i}\t{p}")?,
-        }
+        write_occurrence(w, i, p, boot.snapshot.patterns())?;
         count += 1;
     }
     writeln!(w, "# {count} occurrences in {} bytes", txt.len())?;
     Ok(0)
+}
+
+/// One `match` output line, `<offset>\t<pattern-index>\t<pattern>`, with
+/// bytes outside printable ASCII shown as `.`; without pattern texts the
+/// last column is left out.
+fn write_occurrence(
+    w: &mut dyn Write,
+    i: usize,
+    p: PatId,
+    pats: Option<&[Vec<Sym>]>,
+) -> std::io::Result<()> {
+    let Some(pats) = pats else {
+        return writeln!(w, "{i}\t{p}");
+    };
+    let shown: String = pats[p as usize]
+        .iter()
+        .map(|&c| char::from(c as u8))
+        .map(|c| {
+            if c.is_ascii_graphic() || c == ' ' {
+                c
+            } else {
+                '.'
+            }
+        })
+        .collect();
+    writeln!(w, "{i}\t{p}\t{shown}")
 }
 
 /// `pdm snap inspect`: report magic, version, CRC status, and sections of
@@ -1439,6 +1456,7 @@ fn run_snap_inspect(file: &str, w: &mut impl Write) -> std::io::Result<i32> {
                         pdm_dict::snapshot::SEC_PATTERNS => "PATTERNS",
                         pdm_dict::snapshot::SEC_TABLES => "TABLES",
                         pdm_dict::snapshot::SEC_CHAINS => "CHAINS",
+                        pdm_dict::snapshot::SEC_PREFILTER => "PREFILTER",
                         _ => "?",
                     };
                     writeln!(w, "section {name} (id {id}): {len} bytes")?;
@@ -2164,7 +2182,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let dpath = dir.join("dict.txt");
         let tpath = dir.join("text.bin");
-        let ipath = dir.join("index.pdm");
+        let ipath = dir.join("index.snap");
         std::fs::write(&dpath, "he\nshe\nhers\n").unwrap();
         std::fs::write(&tpath, "ushers").unwrap();
         let mut out = Vec::new();
@@ -2557,7 +2575,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pdm-cli-sidx-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dpath = dir.join("dict.txt");
-        let ipath = dir.join("index.pdm");
+        let ipath = dir.join("index.snap");
         std::fs::write(&dpath, "he\nshe\nhers\n").unwrap();
         let mut out = Vec::new();
         assert_eq!(
@@ -2828,5 +2846,146 @@ mod tests {
         )
         .unwrap();
         assert_eq!(code, 2);
+    }
+
+    /// Run a command, returning its exit code and output.
+    fn run_to_string(cmd: Command) -> (i32, String) {
+        let mut out = Vec::new();
+        let code = run(cmd, &mut out).unwrap();
+        (code, String::from_utf8(out).unwrap())
+    }
+
+    /// A scratch directory holding `dict.txt`, `text.bin` and the
+    /// `pdm build` output `index.snap` of that dictionary.
+    fn built_index(tag: &str) -> (std::path::PathBuf, String, String, String) {
+        let dir = std::env::temp_dir().join(format!("pdm-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| -> String { dir.join(name).to_string_lossy().into() };
+        let (dict, text, index) = (path("dict.txt"), path("text.bin"), path("index.snap"));
+        std::fs::write(&dict, "he\nshe\nhers\nushers\nand\n").unwrap();
+        std::fs::write(&text, "ushers and pushers say she is here").unwrap();
+        let (code, s) = run_to_string(Command::Build {
+            dict: dict.clone(),
+            out: index.clone(),
+        });
+        assert_eq!(code, 0, "{s}");
+        (dir, dict, text, index)
+    }
+
+    #[test]
+    fn match_index_prints_what_match_dict_prints() {
+        let (dir, dict, text, index) = built_index("idxeq");
+        // (all, stream, chunk_bytes): batch longest, batch --all, and a
+        // stream whose 4-byte chunks split patterns across boundaries.
+        for (all, stream, chunk_bytes) in [
+            (false, false, 65536),
+            (true, false, 65536),
+            (false, true, 4),
+        ] {
+            let matched = |src: DictSource| {
+                run_to_string(Command::Match {
+                    dict: src,
+                    text: text.clone(),
+                    threads: Some(2),
+                    all,
+                    stream,
+                    chunk_bytes,
+                })
+            };
+            let (c1, by_dict) = matched(DictSource::Patterns(dict.clone()));
+            let (c2, by_index) = matched(DictSource::Index(index.clone()));
+            assert_eq!((c1, c2), (0, 0), "{by_dict}\n{by_index}");
+            assert_eq!(by_dict, by_index, "all={all} stream={stream}");
+            // The snapshot carries the pattern texts, so lines show them.
+            assert!(by_index.contains("1\t1\tshe\n"), "{by_index}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_index_reports_the_dict_table_counts() {
+        let (dir, dict, _, index) = built_index("idxstats");
+        let stats = |src: DictSource| {
+            let (code, s) = run_to_string(Command::Stats {
+                dict: Some(src),
+                addr: None,
+            });
+            assert_eq!(code, 0, "{s}");
+            // Drop the timing line; everything else describes the tables.
+            s.lines()
+                .filter(|l| !l.starts_with("build:") && !l.starts_with("load:"))
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        let by_dict = stats(DictSource::Patterns(dict));
+        let by_index = stats(DictSource::Index(index));
+        assert!(
+            by_index.iter().any(|l| l.starts_with("table entries:")),
+            "{by_index:?}"
+        );
+        assert_eq!(by_dict, by_index);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn index_in_retired_pdm1_format_exits_2_naming_the_format() {
+        let dir = std::env::temp_dir().join(format!("pdm-cli-pdm1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let index: String = dir.join("old.pdm").to_string_lossy().into();
+        let text: String = dir.join("text.bin").to_string_lossy().into();
+        std::fs::write(&index, b"PDM1\x01\x00\x00\x00\x01\x00\x00\x00").unwrap();
+        std::fs::write(&text, "ushers").unwrap();
+        let (code, s) = run_to_string(Command::Match {
+            dict: DictSource::Index(index.clone()),
+            text,
+            threads: Some(1),
+            all: false,
+            stream: false,
+            chunk_bytes: 65536,
+        });
+        assert_eq!(code, 2, "{s}");
+        assert!(
+            s.contains("PDM1") && s.contains("re-run `pdm build`"),
+            "{s}"
+        );
+        let (code, s) = run_to_string(Command::Stats {
+            dict: Some(DictSource::Index(index)),
+            addr: None,
+        });
+        assert_eq!(code, 2, "{s}");
+        assert!(s.contains("PDM1"), "{s}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn damaged_index_fails_its_crc_and_exits_2() {
+        let (dir, _, text, index) = built_index("idxcrc");
+        let good = std::fs::read(&index).unwrap();
+        let matched = || {
+            run_to_string(Command::Match {
+                dict: DictSource::Index(index.clone()),
+                text: text.clone(),
+                threads: Some(1),
+                all: true,
+                stream: false,
+                chunk_bytes: 65536,
+            })
+        };
+        // One flipped byte in the body: the whole-file CRC catches it.
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x40;
+        std::fs::write(&index, &flipped).unwrap();
+        let (code, s) = matched();
+        assert_eq!(code, 2, "{s}");
+        assert!(s.starts_with("error:") && s.contains("index.snap"), "{s}");
+        assert!(s.contains("checksum mismatch"), "{s}");
+        // Cut short.
+        std::fs::write(&index, &good[..good.len() - 5]).unwrap();
+        let (code, s) = matched();
+        assert_eq!(code, 2, "{s}");
+        // The intact file still loads.
+        std::fs::write(&index, &good).unwrap();
+        assert_eq!(matched().0, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -268,7 +268,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Serialized indexes round-trip to behaviourally identical matchers.
+    /// A built index round-trips through the `.snap` v2 sidecar (what
+    /// `pdm build` writes) to a behaviourally identical matcher, at pool
+    /// widths 1, 2 and 4.
     #[test]
     fn index_serialization_roundtrip(
         pats in vec(vec(0u32..4, 1..10), 1..6),
@@ -278,9 +280,20 @@ proptest! {
         uniq.sort();
         uniq.dedup();
         let ctx = Ctx::seq();
-        let m = StaticMatcher::build(&ctx, &uniq).unwrap();
-        let loaded = StaticMatcher::from_bytes(&m.to_bytes()).unwrap();
-        prop_assert_eq!(m.match_text(&ctx, &text), loaded.match_text(&ctx, &text));
+        let built = pdm_dict::Snapshot::build_static(&ctx, 0, uniq.clone()).unwrap();
+        let bytes = built.to_sidecar_bytes().unwrap();
+        let loaded = pdm_dict::Snapshot::from_bytes(&ctx, &bytes).unwrap();
+        prop_assert_eq!(loaded.patterns(), Some(&uniq[..]));
+        let (m, back) = (built.matcher(), loaded.matcher());
+        prop_assert_eq!(m.match_text(&ctx, &text), back.match_text(&ctx, &text));
+        for width in [1, 2, 4] {
+            let wctx = Ctx::with_threads(width);
+            prop_assert_eq!(
+                m.find_all(&wctx, &text),
+                back.find_all(&wctx, &text),
+                "width {}", width
+            );
+        }
     }
 
     /// Chunked matching equals whole-text matching for any chunk size.
